@@ -169,12 +169,15 @@ fn racy_flag_check_outside_lock_is_a_lost_wakeup() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: SessionStore spill → cold-reload → revalidation (durable.rs).
-// The spiller snapshots a resident session, writes the snapshot outside
-// the lock, then must revalidate (stamp + identity, modelling the
-// dirty-stamp / Arc::ptr_eq check) before evicting — an updater may have
-// replaced the session in the gap. Property: the latest version is never
-// lost, whether it lives in memory or on disk.
+// Model 3: SessionStore spill vs. a lane's checkout → repair → write-back
+// (session.rs). The spiller snapshots the LRU session, writes the snapshot
+// outside the lock, then must revalidate (the stamp check) before evicting
+// — a lane may have touched or replaced the session in the gap. The lane
+// checks the session out under the lock, repairs outside it (the yield),
+// and writes back under the lock; a spill can land between the two, so a
+// write-back that finds the session gone must re-insert it (its state is
+// newer than the spill image) instead of dropping the write. Property: the
+// written version is never lost, whether it lives in memory or on disk.
 // ---------------------------------------------------------------------------
 
 struct SpillSt {
@@ -182,20 +185,31 @@ struct SpillSt {
     resident: Option<(u64, u32)>,
     /// Version of the on-disk snapshot (0 = none).
     disk: u32,
+    /// The LRU clock.
+    clock: u64,
     exits: u32,
+}
+
+impl SpillSt {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 fn spill_model(
     revalidate: bool,
+    reinsert: bool,
 ) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
     explore(Strategy::Exhaustive { max_executions: 100_000 }, move |run| {
-        let st = Arc::new(VMutex::new(SpillSt { resident: Some((1, 1)), disk: 0, exits: 0 }));
+        let st =
+            Arc::new(VMutex::new(SpillSt { resident: Some((1, 1)), disk: 0, clock: 1, exits: 0 }));
         let finish = |st: &Arc<VMutex<SpillSt>>| {
             let mut g = st.lock();
             g.exits += 1;
             if g.exits == 2 {
                 let visible = g.resident.map(|(_, v)| v).unwrap_or(g.disk);
-                assert_eq!(visible, 2, "update must never be lost to a stale spill");
+                assert_eq!(visible, 2, "the write-back must never be lost to a spill");
             }
         };
         {
@@ -205,7 +219,7 @@ fn spill_model(
                 if let Some((stamp, version)) = snap {
                     yield_now(); // serialize the snapshot outside the lock
                     let mut g = st.lock();
-                    if !revalidate || g.resident == Some((stamp, version)) {
+                    if !revalidate || g.resident.map(|(s, _)| s) == Some(stamp) {
                         g.disk = version;
                         g.resident = None; // evict
                     }
@@ -215,20 +229,22 @@ fn spill_model(
         }
         {
             let st = Arc::clone(&st);
-            run.spawn("updater", move || {
-                {
+            run.spawn("lane", move || {
+                // Checkout: touch a resident session, or cold-reload it.
+                let version = {
                     let mut g = st.lock();
-                    match g.resident {
-                        // In-place update bumps the stamp (spiller's
-                        // snapshot is now stale).
-                        Some((stamp, _)) => g.resident = Some((stamp + 1, 2)),
-                        // Already spilled: cold-reload from disk, update.
-                        None => {
-                            let reloaded = g.disk;
-                            g.resident = Some((100, reloaded + 1));
-                        }
-                    }
+                    let stamp = g.tick();
+                    let version = g.resident.map_or(g.disk, |(_, v)| v);
+                    g.resident = Some((stamp, version));
+                    version
+                };
+                yield_now(); // repair outside the lock
+                let mut g = st.lock();
+                let stamp = g.tick();
+                if g.resident.is_some() || reinsert {
+                    g.resident = Some((stamp, version + 1));
                 }
+                drop(g);
                 finish(&st);
             });
         }
@@ -237,13 +253,23 @@ fn spill_model(
 
 #[test]
 fn spill_revalidation_preserves_the_update() {
-    let stats = spill_model(true).expect("revalidated spill never loses the update");
+    let stats = spill_model(true, true).expect("the write-back is never lost");
     assert!(stats.complete, "exhaustive space must be fully enumerated");
 }
 
 #[test]
 fn unconditional_evict_after_snapshot_loses_the_update() {
-    let failure = spill_model(false).expect_err("stale evict must lose the update somewhere");
+    let failure = spill_model(false, true).expect_err("stale evict must lose the update somewhere");
+    assert!(
+        matches!(failure.kind, FailureKind::Panic { .. }),
+        "loss surfaces as the model assertion: {failure}"
+    );
+}
+
+#[test]
+fn write_back_dropped_after_a_spill_loses_the_delta() {
+    let failure =
+        spill_model(true, false).expect_err("a dropped write-back must lose the delta somewhere");
     assert!(
         matches!(failure.kind, FailureKind::Panic { .. }),
         "loss surfaces as the model assertion: {failure}"

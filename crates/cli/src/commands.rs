@@ -186,7 +186,7 @@ USAGE
       recovers every live session by replay (--durability: none buffers
       until graceful exit, flush [default] pushes each append to the OS
       — survives SIGKILL — and fsync also survives power loss). The
-      session store is sharded per lane with lock-free reads; journal
+      session store is sharded per lane, one lock per shard; journal
       appends from concurrent lanes coalesce into group commits — one
       write and one flush/fsync per batch of up to --journal-batch
       records (default 64; 1 = synchronous appends), with an optional

@@ -314,8 +314,11 @@ pub fn scan_journal(text: &str) -> (Vec<(u64, JournalRecord)>, Option<JournalTai
     (records, None)
 }
 
-/// Encodes a session snapshot: the full session image stamped with the
-/// last journal sequence number folded into it.
+/// Encodes a session snapshot in the JSON schema: the full session image
+/// stamped with the last journal sequence number folded into it. The
+/// store writes packed snapshots ([`encode_snapshot_packed`]); this
+/// encoder stays for tooling and tests, and [`parse_snapshot_bytes`]
+/// still reads its output, so data dirs with JSON snapshots recover.
 pub fn encode_snapshot(sid: u64, seq: u64, entry: &SessionEntry) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"v\": 1, \"sid\": {sid}, \"seq\": {seq}, \"instance\": ");
@@ -542,27 +545,12 @@ struct CommitShared {
     writer: Mutex<JournalWriter>,
 }
 
-/// On-disk encoding for per-session snapshot files. Reads always sniff
-/// the format byte ([`parse_snapshot_bytes`]), so stores of either
-/// setting recover each other's files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// Packed wire frame — the default: one bulk-copy decode on recovery
-    /// and spill-reload instead of a JSON parse of the whole instance.
-    #[default]
-    Packed,
-    /// The PR-6 JSON snapshot schema, kept writable for tooling that
-    /// inspects snapshots as text.
-    Json,
-}
-
 /// The on-disk half of the session tier: one append-only journal plus a
 /// directory of per-session snapshots under one `--data-dir`.
 pub struct DurableStore {
     sessions_dir: PathBuf,
     journal_path: PathBuf,
     durability: Durability,
-    snapshot_format: SnapshotFormat,
     snapshot_every: u64,
     /// Records per coalesced commit batch; `<= 1` keeps the synchronous
     /// per-record append path (no committer thread).
@@ -580,6 +568,8 @@ pub struct DurableStore {
     journal_appends: AtomicU64,
     journal_bytes: AtomicU64,
     snapshots: AtomicU64,
+    /// Snapshot writes started; names each write's temp file.
+    snapshot_writes: AtomicU64,
     recovered: AtomicU64,
     telemetry: Telemetry,
 }
@@ -598,7 +588,6 @@ impl DurableStore {
             sessions_dir,
             journal_path,
             durability,
-            snapshot_format: SnapshotFormat::default(),
             snapshot_every: 32,
             journal_batch: 64,
             group_commit_us: 0,
@@ -626,6 +615,7 @@ impl DurableStore {
             journal_appends: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
+            snapshot_writes: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             telemetry: Telemetry::disabled(),
         })
@@ -655,13 +645,6 @@ impl DurableStore {
     /// between snapshots); builder-style, mainly for tests.
     pub fn with_snapshot_every(mut self, every: u64) -> DurableStore {
         self.snapshot_every = every.max(1);
-        self
-    }
-
-    /// Sets the snapshot file encoding; builder-style. Reads are always
-    /// format-sniffing, so this only affects new writes.
-    pub fn with_snapshot_format(mut self, format: SnapshotFormat) -> DurableStore {
-        self.snapshot_format = format;
         self
     }
 
@@ -896,11 +879,11 @@ impl DurableStore {
     /// Writes session `sid`'s snapshot atomically (temp file + rename).
     pub fn write_snapshot(&self, sid: u64, seq: u64, entry: &SessionEntry) -> std::io::Result<()> {
         let t0 = std::time::Instant::now();
-        let bytes = match self.snapshot_format {
-            SnapshotFormat::Packed => encode_snapshot_packed(sid, seq, entry),
-            SnapshotFormat::Json => encode_snapshot(sid, seq, entry).into_bytes(),
-        };
-        let tmp = self.sessions_dir.join(format!("{sid}.snap.tmp"));
+        let bytes = encode_snapshot_packed(sid, seq, entry);
+        // A temp name per write: a spill and the session's own lane may
+        // snapshot the same sid at once, and must not write one file.
+        let nonce = self.snapshot_writes.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.sessions_dir.join(format!("{sid}.{nonce}.snap.tmp"));
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -1368,16 +1351,14 @@ mod tests {
     #[test]
     fn recover_reads_snapshots_of_either_format() {
         let dir = tmp_dir("mixed-format");
-        // Write one packed (default) and one JSON snapshot, then recover
-        // with a fresh store: both must come back.
+        // Write one packed snapshot through the store and one JSON
+        // snapshot by hand, then recover with a fresh store: both must
+        // come back.
         let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         store.write_snapshot(1, 0, &entry_of(uniform_instance(0))).unwrap();
         drop(store);
-        let store = DurableStore::open(&dir, Durability::Flush)
-            .unwrap()
-            .with_snapshot_format(SnapshotFormat::Json);
-        store.write_snapshot(2, 0, &entry_of(uniform_instance(1))).unwrap();
-        drop(store);
+        let json = encode_snapshot(2, 0, &entry_of(uniform_instance(1)));
+        fs::write(dir.join("sessions").join("2.snap"), json).unwrap();
 
         let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         let rec = store.recover().unwrap();

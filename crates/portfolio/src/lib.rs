@@ -63,7 +63,7 @@ pub mod session;
 pub mod solver;
 pub mod wire;
 
-pub use durable::{Durability, DurableStore, JournalRecord, Recovery, SnapshotFormat};
+pub use durable::{Durability, DurableStore, JournalRecord, Recovery};
 pub use features::{extract_features, Features, ModelKind};
 pub use model::{EvalError, ModelOps, Repaired, Solution, SplittableInstance};
 pub use pool::{Pool, PoolConfig, PoolMode};

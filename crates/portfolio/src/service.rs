@@ -490,6 +490,13 @@ fn record_ok(metrics: &Metrics, job: &Job, id: u64, race_micros: Option<u64>) {
     metrics.telemetry.emit(TraceEvent::Respond { id, ok: true, total_us });
 }
 
+/// The error line for a session verb whose write-back found the session
+/// gone: an in-memory store evicted it while the verb ran, so the verb's
+/// result was not stored and must not be acknowledged.
+fn evicted_meanwhile(sid: u64) -> String {
+    format!("unknown session {sid}: evicted while the verb ran, result not stored")
+}
+
 /// The session verbs (see [`crate::protocol::SessionRequest`]): create
 /// installs a greedy incumbent, delta repairs it through
 /// [`crate::model::ModelOps::repair_deltas`], solve races warm from the
@@ -586,7 +593,7 @@ fn handle_session(
                         solution: repaired.incumbent.clone(),
                         solvers: Vec::new(),
                     };
-                    sessions.update(
+                    let stored = sessions.update(
                         sid,
                         SessionEntry {
                             instance: Arc::new(repaired.instance),
@@ -596,6 +603,10 @@ fn handle_session(
                         },
                         seq,
                     );
+                    if !stored {
+                        write_error(metrics, job, evicted_meanwhile(sid));
+                        return;
+                    }
                     sessions.maybe_snapshot(sid);
                     record_ok(metrics, job, id, Some(micros));
                     write_response(job, &resp);
@@ -631,7 +642,10 @@ fn handle_session(
             // Incumbent-only move: no journal record, no seq advance — a
             // crash recovers the last durable state and re-clamps to the
             // greedy floor.
-            sessions.update_incumbent(sid, updated);
+            if !sessions.update_incumbent(sid, updated) {
+                write_error(metrics, job, evicted_meanwhile(sid));
+                return;
+            }
             record_ok(metrics, job, id, Some(micros));
             write_response(job, &resp);
         }

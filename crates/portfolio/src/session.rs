@@ -25,34 +25,33 @@
 //! **Sharding:** the map is split into per-lane shards keyed by the same
 //! splitmix64 hash ([`shard_of`]) the service uses to pick a session's
 //! FIFO lane, so verbs on distinct lanes never contend on a shard lock.
-//! Each shard publishes its member map through an
-//! [`ArcSwap`](arc_swap::ArcSwap) snapshot: hot-path *reads* — entry
-//! lookup, LRU touch, metrics probe, spill revalidation — are lock-free
-//! (load the published map, bump an atomic stamp, clone an `Arc`), while
-//! membership changes (create / close / spill / reload) and state
-//! write-backs take only that shard's `session.shard` lock. The LRU bound
-//! and every counter stay **global**: victim selection scans the published
-//! shard maps lock-free for the minimum stamp and revalidates under the
-//! victim's shard lock, so a concurrent touch or write-back can never lose
-//! state to a spill. No code path ever holds two shard locks at once, nor
-//! a shard lock across journal or snapshot IO.
+//! Each shard is one `session.shard` mutex over a plain map; every lookup,
+//! LRU touch, write-back and spill revalidation of a session happens under
+//! its shard's lock, so a spill can never slip between finding a session
+//! and stamping it. The LRU bound and every counter stay **global**:
+//! victim selection visits the shards one lock at a time for the minimum
+//! stamp, claims the victim so no other spill writes its image at the
+//! same time, and revalidates under the victim's shard lock. No code path
+//! ever holds two shard locks at once, nor a shard lock across journal or
+//! snapshot IO.
 //!
 //! Entries are stored behind `Arc`s, so reads clone a pointer and writes
 //! swap one — a shard lock is held for pointer-sized work only; repairs,
-//! races and snapshot file writes run outside it on the shared snapshot.
-//! Two concurrent requests on the *same* session id are last-write-wins.
+//! races and snapshot file writes run outside it on the shared entry. A
+//! spill may still take a durable session while its lane works on it; the
+//! lane's write-back then re-inserts the session hot, since its state is
+//! newer than the spill image (see [`SessionStore::update`]).
 //!
 //! **Ordering:** session verbs do not ride the work-stealing pool (which
 //! preserves no order for in-flight requests) — the service routes them
 //! through FIFO lanes keyed by session id, so each session's
-//! `create`/`delta`/`solve` sequence executes in arrival order while
-//! distinct sessions run in parallel (see [`crate::service`]).
+//! `create`/`delta`/`solve`/`close` sequence executes in arrival order
+//! while distinct sessions run in parallel (see [`crate::service`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 use sst_core::schedule::Schedule;
 use sst_core::telemetry::{Telemetry, TraceEvent};
@@ -120,70 +119,36 @@ pub struct SessionStats {
     pub snapshots: u64,
 }
 
-/// A session's current state, replaced wholesale on every write-back so
-/// lock-free readers always see a consistent (entry, seq, fresh) triple.
-struct Stamped {
+/// One member of a shard map.
+struct Slot {
+    /// LRU recency stamp: a tick of the store-global clock, fresh on every
+    /// touch and write-back, so an unchanged stamp proves an untouched slot.
+    stamp: u64,
     entry: Arc<SessionEntry>,
     /// Last journal sequence number folded into `entry` (0 = none).
     seq: u64,
     /// Journaled verbs applied since the last on-disk snapshot — the
     /// periodic-snapshot trigger.
     fresh: u64,
+    /// A room-maker claimed this session and is writing its spill image.
+    /// Other room-makers skip it, so a stale image can never be renamed
+    /// over a newer one after the session went cold.
+    spilling: bool,
 }
 
-/// One member of a shard map. The slot itself is shared (`Arc`) between
-/// the published map snapshots, so a touch or write-back is visible to
-/// every reader without republishing the map.
-struct Slot {
-    /// LRU recency stamp, ticks of the store-global clock. Written
-    /// lock-free by touches; spills revalidate it under the shard lock.
-    stamp: AtomicU64,
-    /// The session's state; see [`Stamped`].
-    state: ArcSwap<Stamped>,
-}
+/// One shard: its members behind one lock. Every shard's lock shares the
+/// `session.shard` lockdep name (one graph node), so the no-two-shard-locks
+/// rule is machine-checked: nesting any two would record a self-edge, i.e.
+/// a cycle.
+type Shard = Mutex<BTreeMap<u64, Slot>>;
 
-/// One shard: a published member-map snapshot plus the lock serializing
-/// writers. Readers never take the lock.
-struct Shard {
-    /// Serializes membership changes and write-backs within the shard.
-    /// Every shard's lock shares the `session.shard` lockdep name (one
-    /// graph node), so the no-two-shard-locks rule is machine-checked:
-    /// nesting any two would record a self-edge, i.e. a cycle.
-    guard: Mutex<()>,
-    /// The shard's members, published for lock-free reads. Mutated
-    /// copy-on-write under `guard` (membership is rare next to reads).
-    map: ArcSwap<BTreeMap<u64, Arc<Slot>>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            guard: Mutex::named("session.shard", ()),
-            map: ArcSwap::new(Arc::new(BTreeMap::new())),
-        }
-    }
-
-    /// Copy-on-write insert; the caller must hold `guard`.
-    fn insert(&self, sid: u64, slot: Arc<Slot>) {
-        let mut map = (*self.map.load()).clone();
-        map.insert(sid, slot);
-        self.map.store(Arc::new(map));
-    }
-
-    /// Copy-on-write remove; the caller must hold `guard`.
-    fn remove(&self, sid: u64) -> bool {
-        let mut map = (*self.map.load()).clone();
-        let found = map.remove(&sid).is_some();
-        if found {
-            self.map.store(Arc::new(map));
-        }
-        found
-    }
+fn new_shards(count: usize) -> Vec<Shard> {
+    (0..count.max(1)).map(|_| Mutex::named("session.shard", BTreeMap::new())).collect()
 }
 
 /// Thread-safe, LRU-bounded session store shared by all pool workers,
 /// optionally backed by a [`DurableStore`] (journal + snapshot spill).
-/// Sharded per lane with lock-free reads; see the module docs.
+/// Sharded per lane, one mutex per shard; see the module docs.
 pub struct SessionStore {
     max: usize,
     shards: Vec<Shard>,
@@ -215,7 +180,7 @@ impl SessionStore {
     fn build(max_sessions: usize, persist: Option<Arc<DurableStore>>) -> Self {
         SessionStore {
             max: max_sessions.max(1),
-            shards: (0..DEFAULT_SHARDS).map(|_| Shard::new()).collect(),
+            shards: new_shards(DEFAULT_SHARDS),
             clock: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
@@ -231,7 +196,7 @@ impl SessionStore {
     /// shape (`--session-lanes`). Only meaningful on an empty store; call
     /// it right after construction.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = (0..shards.max(1)).map(|_| Shard::new()).collect();
+        self.shards = new_shards(shards);
         self
     }
 
@@ -265,114 +230,88 @@ impl SessionStore {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Lock-free membership probe against the published shard map.
     fn contains(&self, sid: u64) -> bool {
-        self.shard(sid).map.load().contains_key(&sid)
+        self.shard(sid).lock().contains_key(&sid)
     }
 
-    /// Lock-free global LRU scan: the minimum-stamp slot across every
-    /// published shard map, with the evidence (slot pointer + stamp) the
-    /// caller needs to revalidate under the victim's shard lock.
-    fn lru_victim(&self) -> Option<(u64, Arc<Slot>, u64)> {
-        let mut best: Option<(u64, Arc<Slot>, u64)> = None;
+    /// Global LRU scan: the least-recent session not already being
+    /// spilled, and its stamp, taking the shard locks one at a time.
+    fn lru_victim(&self) -> Option<(u64, u64)> {
+        let mut best: Option<(u64, u64)> = None;
         for shard in &self.shards {
-            let map = shard.map.load();
-            for (&sid, slot) in map.iter() {
-                let stamp = slot.stamp.load(Ordering::Relaxed);
-                if best.as_ref().is_none_or(|(_, _, b)| stamp < *b) {
-                    best = Some((sid, Arc::clone(slot), stamp));
+            for (&sid, slot) in shard.lock().iter().filter(|(_, slot)| !slot.spilling) {
+                if best.is_none_or(|(_, stamp)| slot.stamp < stamp) {
+                    best = Some((sid, slot.stamp));
                 }
             }
         }
         best
     }
 
-    /// Spills the LRU victim's snapshot to disk and drops its hot entry,
-    /// making room for `incoming`. The snapshot is written **outside** any
-    /// lock and the victim is only removed if it was neither touched nor
-    /// updated in between (stamp + state-pointer revalidation under the
-    /// victim's shard lock) — a concurrent lane can never lose state to a
-    /// spill. On persistent snapshot-write failure the store runs over
-    /// capacity rather than destroy state.
-    fn spill_for_room(&self, incoming: u64) -> Option<u64> {
-        let persist = self.persist.as_ref()?;
+    /// Makes room for `incoming` at capacity: the LRU victim is spilled to
+    /// its snapshot (durable store) or destroyed (in-memory store). The
+    /// victim is claimed under its shard lock, so concurrent room-makers
+    /// pick other victims; its snapshot is written **outside** any lock,
+    /// and it is only removed if its stamp shows it was neither touched
+    /// nor written back since the scan. On a persistent snapshot-write
+    /// failure the store runs over capacity rather than destroy state.
+    /// Returns the displaced session id.
+    fn make_room(&self, incoming: u64) -> Option<u64> {
         for _ in 0..8 {
             if self.contains(incoming) || self.live() < self.max {
                 return None;
             }
-            let (vsid, vslot, vstamp) = self.lru_victim()?;
-            let vstate = vslot.state.load();
-            if persist.write_snapshot(vsid, vstate.seq, &vstate.entry).is_err() {
-                return None;
-            }
-            let shard = self.shard(vsid);
-            let removed = {
-                let _guard = shard.guard.lock();
-                match shard.map.load().get(&vsid) {
-                    Some(slot)
-                        if Arc::ptr_eq(slot, &vslot)
-                            && slot.stamp.load(Ordering::Relaxed) == vstamp
-                            && Arc::ptr_eq(&slot.state.load(), &vstate) =>
-                    {
-                        shard.remove(vsid);
-                        Some(true)
+            let (sid, seen) = self.lru_victim()?;
+            let (entry, seq) = {
+                let mut map = self.shard(sid).lock();
+                match map.get_mut(&sid) {
+                    Some(slot) if slot.stamp == seen && !slot.spilling => {
+                        slot.spilling = true;
+                        (Arc::clone(&slot.entry), slot.seq)
                     }
-                    // Victim closed meanwhile: there is room now.
-                    None => Some(false),
-                    // Touched or updated meanwhile: re-pick the LRU victim.
-                    Some(_) => None,
+                    // Touched, closed or claimed since the scan: re-pick.
+                    _ => continue,
                 }
             };
-            match removed {
-                Some(true) => {
-                    self.spills.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.emit(TraceEvent::Spill { sid: vsid });
-                    return Some(vsid);
+            if let Some(persist) = self.persist.as_ref() {
+                if persist.write_snapshot(sid, seq, &entry).is_err() {
+                    if let Some(slot) = self.shard(sid).lock().get_mut(&sid) {
+                        slot.spilling = false;
+                    }
+                    return None;
                 }
-                Some(false) => return None,
-                None => {}
             }
+            {
+                let mut map = self.shard(sid).lock();
+                match map.get_mut(&sid) {
+                    Some(slot) if slot.stamp == seen => drop(map.remove(&sid)),
+                    // Touched since the scan: release the claim and re-pick.
+                    Some(slot) => {
+                        slot.spilling = false;
+                        continue;
+                    }
+                    // Closed since the claim.
+                    None => continue,
+                }
+            }
+            if self.persist.is_some() {
+                self.spills.fetch_add(1, Ordering::Relaxed);
+                self.telemetry.emit(TraceEvent::Spill { sid });
+            } else {
+                self.evicted.fetch_add(1, Ordering::Relaxed);
+            }
+            return Some(sid);
         }
         None
     }
 
-    /// Destroys the LRU victim to make room for `incoming` (in-memory
-    /// stores only; the durable path spills instead). Same lock-free
-    /// pick + shard-lock revalidate dance as [`Self::spill_for_room`].
-    fn evict_for_room(&self, incoming: u64) -> Option<u64> {
-        if self.persist.is_some() {
-            return None;
-        }
-        for _ in 0..8 {
-            if self.contains(incoming) || self.live() < self.max {
-                return None;
-            }
-            let (vsid, vslot, vstamp) = self.lru_victim()?;
-            let shard = self.shard(vsid);
-            let removed = {
-                let _guard = shard.guard.lock();
-                match shard.map.load().get(&vsid) {
-                    Some(slot)
-                        if Arc::ptr_eq(slot, &vslot)
-                            && slot.stamp.load(Ordering::Relaxed) == vstamp =>
-                    {
-                        shard.remove(vsid);
-                        Some(true)
-                    }
-                    None => Some(false),
-                    Some(_) => None,
-                }
-            };
-            match removed {
-                Some(true) => {
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    return Some(vsid);
-                }
-                Some(false) => return None,
-                None => {}
-            }
-        }
-        None
+    /// Inserts `sid` hot with a fresh stamp, replacing any hot entry. A
+    /// claim on the replaced slot carries over: its spill image is still
+    /// being written.
+    fn insert(&self, sid: u64, entry: Arc<SessionEntry>, seq: u64, fresh: u64) {
+        let mut map = self.shard(sid).lock();
+        let spilling = map.get(&sid).is_some_and(|slot| slot.spilling);
+        map.insert(sid, Slot { stamp: self.tick(), entry, seq, fresh, spilling });
     }
 
     /// Inserts (or replaces) session `sid`, recording `seq` as the last
@@ -381,104 +320,81 @@ impl SessionStore {
     /// spilled to its snapshot (durable store) first. Returns the hot
     /// count and the displaced session id, if any.
     pub fn create(&self, sid: u64, entry: SessionEntry, seq: u64) -> (usize, Option<u64>) {
-        // Allocation and room-making outside the lock; the critical
-        // section publishes one map snapshot.
         let entry = Arc::new(entry);
-        let displaced = self.spill_for_room(sid).or_else(|| self.evict_for_room(sid));
-        let shard = self.shard(sid);
-        {
-            let _guard = shard.guard.lock();
-            let stamp = self.tick();
-            let fresh = if seq > 0 { 1 } else { 0 };
-            shard.insert(
-                sid,
-                Arc::new(Slot {
-                    stamp: AtomicU64::new(stamp),
-                    state: ArcSwap::new(Arc::new(Stamped { entry, seq, fresh })),
-                }),
-            );
-        }
+        let displaced = self.make_room(sid);
+        self.insert(sid, entry, seq, u64::from(seq > 0));
         (self.live(), displaced)
     }
 
     /// Shares session `sid`'s state out (touching its recency) — repairs
-    /// and races run on the shared snapshot, outside any store lock; the
-    /// hot path takes none at all (published-map lookup + atomic stamp).
-    /// A cold (spilled) session is transparently reloaded from its
-    /// on-disk snapshot.
+    /// and races run on the shared entry, outside any store lock. A cold
+    /// (spilled) session is transparently reloaded from its on-disk
+    /// snapshot.
     pub fn snapshot(&self, sid: u64) -> Option<Arc<SessionEntry>> {
         let shard = self.shard(sid);
-        if let Some(slot) = shard.map.load().get(&sid) {
-            slot.stamp.store(self.tick(), Ordering::Relaxed);
-            return Some(Arc::clone(&slot.state.load().entry));
+        if let Some(slot) = shard.lock().get_mut(&sid) {
+            slot.stamp = self.tick();
+            return Some(Arc::clone(&slot.entry));
         }
         // Cold path: reload from disk, then insert hot (which may in turn
         // spill the new LRU victim).
         let persist = self.persist.as_ref()?;
         let (entry, seq) = persist.load_snapshot(sid)?;
-        let entry = Arc::new(entry);
-        self.spill_for_room(sid);
+        self.make_room(sid);
         self.telemetry.emit(TraceEvent::ColdReload { sid });
         self.cold_reloads.fetch_add(1, Ordering::Relaxed);
-        let _guard = shard.guard.lock();
-        let stamp = self.tick();
+        let mut map = shard.lock();
         // A racing reload of the same sid keeps the first entry (both came
         // from the same snapshot).
-        if let Some(slot) = shard.map.load().get(&sid) {
-            slot.stamp.store(stamp, Ordering::Relaxed);
-            return Some(Arc::clone(&slot.state.load().entry));
-        }
-        shard.insert(
-            sid,
-            Arc::new(Slot {
-                stamp: AtomicU64::new(stamp),
-                state: ArcSwap::new(Arc::new(Stamped { entry: Arc::clone(&entry), seq, fresh: 0 })),
-            }),
-        );
-        Some(entry)
+        let cold = Slot { stamp: 0, entry: Arc::new(entry), seq, fresh: 0, spilling: false };
+        let slot = map.entry(sid).or_insert(cold);
+        slot.stamp = self.tick();
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Writes a session's state back after a journaled verb, advancing its
     /// sequence number. Returns `false` when the session vanished in
-    /// between (closed or evicted) — the write is dropped.
+    /// between — closed, or evicted from an in-memory store — and the
+    /// write is dropped. A durable session that a spill made cold
+    /// meanwhile is re-inserted hot (making room first, as `create`
+    /// does): `entry` is newer than the spill image, and a `close` of the
+    /// same sid only ever runs on the caller's own lane.
     pub fn update(&self, sid: u64, entry: SessionEntry, seq: u64) -> bool {
         self.write_back(sid, entry, Some(seq))
     }
 
     /// Writes back an incumbent-only improvement (a session `solve` —
-    /// not journaled, so the sequence number stays put).
+    /// not journaled, so the sequence number stays put). Vanished and
+    /// cold sessions are handled as by [`Self::update`].
     pub fn update_incumbent(&self, sid: u64, entry: SessionEntry) -> bool {
         self.write_back(sid, entry, None)
     }
 
     fn write_back(&self, sid: u64, entry: SessionEntry, seq: Option<u64>) -> bool {
         let entry = Arc::new(entry);
-        let shard = self.shard(sid);
-        // Keeps the replaced state alive past the guard so its (possibly
-        // large) entry deallocates outside the critical section.
-        let mut replaced = None;
-        let found = {
-            let _guard = shard.guard.lock();
-            match shard.map.load().get(&sid) {
-                Some(slot) => {
-                    slot.stamp.store(self.tick(), Ordering::Relaxed);
-                    let old = slot.state.load();
-                    let (mut next_seq, mut fresh) = (old.seq, old.fresh);
-                    if let Some(seq) = seq {
-                        if seq > next_seq {
-                            next_seq = seq;
-                            fresh += 1;
-                        }
-                    }
-                    slot.state.store(Arc::new(Stamped { entry, seq: next_seq, fresh }));
-                    replaced = Some(old);
-                    true
-                }
-                None => false,
+        if let Some(slot) = self.shard(sid).lock().get_mut(&sid) {
+            slot.stamp = self.tick();
+            if let Some(seq) = seq.filter(|&seq| seq > slot.seq) {
+                slot.seq = seq;
+                slot.fresh += 1;
             }
+            // The caller still holds the entry it checked out, so the
+            // replaced one does not deallocate under the lock.
+            slot.entry = entry;
+            return true;
+        }
+        // Not hot. Only a spilled session still has a snapshot file;
+        // `close` removes it.
+        let Some((_, cold_seq)) = self.persist.as_ref().and_then(|p| p.load_snapshot(sid)) else {
+            return false;
         };
-        drop(replaced);
-        found
+        let (seq, fresh) = match seq {
+            Some(seq) if seq > cold_seq => (seq, 1),
+            _ => (cold_seq, 0),
+        };
+        self.make_room(sid);
+        self.insert(sid, entry, seq, fresh);
+        true
     }
 
     /// Writes session `sid`'s periodic snapshot when enough journaled
@@ -487,10 +403,8 @@ impl SessionStore {
     /// are swallowed (replay just gets longer).
     pub fn maybe_snapshot(&self, sid: u64) {
         let Some(persist) = self.persist.as_ref() else { return };
-        let shard = self.shard(sid);
-        let image = shard.map.load().get(&sid).and_then(|slot| {
-            let state = slot.state.load();
-            (state.fresh >= persist.snapshot_every()).then(|| (Arc::clone(&state.entry), state.seq))
+        let image = self.shard(sid).lock().get(&sid).and_then(|slot| {
+            (slot.fresh >= persist.snapshot_every()).then(|| (Arc::clone(&slot.entry), slot.seq))
         });
         let Some((entry, seq)) = image else { return };
         if persist.write_snapshot(sid, seq, &entry).is_ok() {
@@ -501,16 +415,9 @@ impl SessionStore {
     /// Zeroes the periodic-snapshot counter of `sid` if its state still
     /// sits at `seq` (no newer journaled verb raced the snapshot write).
     fn reset_fresh(&self, sid: u64, seq: u64) {
-        let shard = self.shard(sid);
-        let _guard = shard.guard.lock();
-        if let Some(slot) = shard.map.load().get(&sid) {
-            let state = slot.state.load();
-            if state.seq == seq && state.fresh != 0 {
-                slot.state.store(Arc::new(Stamped {
-                    entry: Arc::clone(&state.entry),
-                    seq: state.seq,
-                    fresh: 0,
-                }));
+        if let Some(slot) = self.shard(sid).lock().get_mut(&sid) {
+            if slot.seq == seq {
+                slot.fresh = 0;
             }
         }
     }
@@ -523,11 +430,8 @@ impl SessionStore {
         let Some(persist) = self.persist.as_ref() else { return Ok(()) };
         let mut hot: Vec<(u64, Arc<SessionEntry>, u64)> = Vec::new();
         for shard in &self.shards {
-            let map = shard.map.load();
-            for (&sid, slot) in map.iter() {
-                let state = slot.state.load();
-                hot.push((sid, Arc::clone(&state.entry), state.seq));
-            }
+            let map = shard.lock();
+            hot.extend(map.iter().map(|(&sid, slot)| (sid, Arc::clone(&slot.entry), slot.seq)));
         }
         for (sid, entry, seq) in &hot {
             persist.write_snapshot(*sid, *seq, entry)?;
@@ -543,21 +447,17 @@ impl SessionStore {
     /// on-disk snapshot. Returns whether either existed, so closing a
     /// cold (spilled) session works too.
     pub fn close(&self, sid: u64) -> bool {
-        let shard = self.shard(sid);
-        let hot = {
-            let _guard = shard.guard.lock();
-            shard.remove(sid)
-        };
+        let removed = self.shard(sid).lock().remove(&sid);
         let cold = match self.persist.as_ref() {
             Some(persist) => persist.remove_snapshot(sid),
             None => false,
         };
-        hot || cold
+        removed.is_some() || cold
     }
 
-    /// Sessions currently hot. Lock-free: sums the published shard maps.
+    /// Sessions currently hot, summed over the shards one lock at a time.
     pub fn live(&self) -> usize {
-        self.shards.iter().map(|shard| shard.map.load().len()).sum()
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 
     /// Records a warm re-solve outcome: `hit` when the repaired incumbent
@@ -570,8 +470,8 @@ impl SessionStore {
         }
     }
 
-    /// The running counters, durability counters merged in. Lock-free —
-    /// safe to call from a metrics probe at any rate.
+    /// The running counters, durability counters merged in. Takes each
+    /// shard lock once, briefly — safe to call from a metrics probe.
     pub fn stats(&self) -> SessionStats {
         let durable = self.persist.as_ref().map(|p| p.counters()).unwrap_or_default();
         SessionStats {
@@ -625,6 +525,7 @@ mod tests {
         let (live, evicted) = store.create(3, entry(3), 0);
         assert_eq!((live, evicted), (2, Some(2)));
         assert!(store.snapshot(2).is_none(), "evicted session is gone");
+        assert!(!store.update_incumbent(2, entry(2)), "an evicted session takes no write-back");
         assert!(store.snapshot(1).is_some(), "recently used session survives");
         let stats = store.stats();
         assert_eq!((stats.live, stats.evicted), (2, 1));
@@ -640,16 +541,20 @@ mod tests {
 
     #[test]
     fn update_after_close_is_dropped() {
-        let store = SessionStore::new(4);
-        store.create(1, entry(1), 0);
-        let snap = store.snapshot(1).unwrap();
-        assert!(store.close(1));
-        assert!(!store.close(1));
-        assert!(
-            !store.update(1, (*snap).clone(), 1),
-            "stale write-back must not resurrect the session"
-        );
-        assert_eq!(store.live(), 0);
+        let (durable, dir) = durable_store("closed", 4);
+        for store in [SessionStore::new(4), durable] {
+            store.create(1, entry(1), 0);
+            let snap = store.snapshot(1).unwrap();
+            assert!(store.close(1));
+            assert!(!store.close(1));
+            assert!(
+                !store.update(1, (*snap).clone(), 1),
+                "stale write-back must not resurrect the session"
+            );
+            assert!(!store.update_incumbent(1, (*snap).clone()));
+            assert_eq!(store.live(), 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -754,6 +659,53 @@ mod tests {
         if let Some(sid) = cold_sid {
             assert!(store.close(sid), "cold close removes the on-disk snapshot");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spill that takes a session while its lane works on it must not
+    /// lose the lane's write-back: the lane checks session 1 out, touches
+    /// and a create make 1 the LRU victim and spill it, and then the
+    /// lane's write-back lands. The next read must see the written state,
+    /// not reload the older spill image.
+    fn spill_mid_verb(name: &str, write_back: impl FnOnce(&SessionStore, SessionEntry) -> bool) {
+        let (store, dir) = durable_store(name, 2);
+        store.create(1, entry(1), 1);
+        store.create(2, entry(2), 2);
+        let checked_out = store.snapshot(1).expect("session 1 is hot");
+        assert!(store.snapshot(2).is_some());
+        let (_, displaced) = store.create(3, entry(3), 3);
+        assert_eq!(displaced, Some(1), "session 1 is the LRU victim");
+        assert!(checked_out.cost != entry(9).cost, "the written state differs from the image");
+        assert!(write_back(&store, entry(9)), "a spilled durable session takes its write-back");
+        assert!(store.live() <= 2, "the re-insert made room first");
+        let now = store.snapshot(1).expect("session 1 is live");
+        assert_eq!(now.cost, entry(9).cost, "the write-back survived the spill");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn update_after_a_spill_of_the_checked_out_session_is_kept() {
+        spill_mid_verb("spill-update", |store, next| store.update(1, next, 4));
+    }
+
+    #[test]
+    fn incumbent_update_after_a_spill_of_the_checked_out_session_is_kept() {
+        spill_mid_verb("spill-incumbent", |store, next| store.update_incumbent(1, next));
+    }
+
+    #[test]
+    fn reinserted_session_keeps_its_journal_position() {
+        let (store, dir) = durable_store("spill-seq", 1);
+        let persist = Arc::clone(store.persist().unwrap());
+        store.create(1, entry(1), 1);
+        store.create(2, entry(2), 2); // spills 1 at seq 1
+        assert!(store.update(1, entry(5), 7), "journaled write-back re-inserts at seq 7");
+        assert!(store.update_incumbent(2, entry(6)), "solve write-back re-inserts 2");
+        store.checkpoint().unwrap();
+        let (_, seq) = persist.load_snapshot(1).unwrap();
+        assert_eq!(seq, 7, "the journaled write-back advanced the seq");
+        let (image, seq) = persist.load_snapshot(2).unwrap();
+        assert_eq!((image.cost, seq), (entry(6).cost, 2), "a solve keeps the spill image's seq");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,8 +12,8 @@
 //!
 //! The descent accepts only strict improvements of the global makespan and
 //! therefore terminates; the result never degrades the input schedule.
-//! This is labeled an *extension* in DESIGN.md — no claim from the paper
-//! depends on it, and the experiment harness reports it separately.
+//! This is an *extension*: no claim from the paper depends on it, and
+//! the experiment harness reports it separately.
 //!
 //! Candidate moves are evaluated **incrementally** through
 //! [`sst_core::tracker::LoadTracker`]: a job-move candidate costs

@@ -1,7 +1,7 @@
 //! Lenstra–Shmoys–Tardos 2-approximation for classical `R||Cmax`
 //! (*no* setup times) — the algorithm the paper's Section 3 contrasts
 //! against: "for the classical model … 2-approximations are possible
-//! [23]", while with setup classes nothing below `Θ(log n + log m)` can
+//! \[23\]", while with setup classes nothing below `Θ(log n + log m)` can
 //! exist (Theorem 3.5).
 //!
 //! Pipeline per guess `T`: the assignment LP with `x_ij = 0` wherever
@@ -112,7 +112,7 @@ fn lst_decide(inst: &UnrelatedInstance, t: u64) -> Decision<Schedule> {
     Decision::Feasible(Schedule::new(assignment))
 }
 
-/// The full LST pipeline (bisection over [`lst_decide`]). Setups are
+/// The full LST pipeline (bisection over `lst_decide`). Setups are
 /// ignored during optimization and re-added only in the reported
 /// `makespan_with_setups`.
 pub fn lst_ignore_setups(inst: &UnrelatedInstance) -> LstResult {

@@ -4,11 +4,11 @@
 //!
 //! Section 1 (gated): concurrent lanes appending journal records under
 //! `--durability fsync` — the regime group commit exists for. The same
-//! workload runs against a synchronous store (`journal_batch = 1`, one
-//! write + one fsync per record) and a grouped store (`journal_batch =
-//! 128`, the committer coalesces whatever is pending into one write +
-//! one fsync per batch). Both sides are best-of-[`TIMING_REPEATS`]; the
-//! CI gate requires grouped throughput ≥ 2× the synchronous baseline —
+//! workload runs against a single-record store (`journal_batch = 1`: the
+//! committer pays one write + one fsync per record) and a grouped store
+//! (`journal_batch = 128`, the committer coalesces whatever is pending
+//! into one write + one fsync per batch). Both sides are best-of-[`TIMING_REPEATS`]; the
+//! CI gate requires grouped throughput ≥ 2× the single-record baseline —
 //! conservative, since each blocked appender lets the others enqueue,
 //! so real batches form even on a single core.
 //!
@@ -77,9 +77,7 @@ fn entry(seed: u64) -> SessionEntry {
 fn fsync_append_us(tag: &str, batch: usize) -> f64 {
     let dir = scratch(tag);
     let store = Arc::new(
-        DurableStore::open(&dir, Durability::Fsync)
-            .expect("open store")
-            .with_group_commit(batch, 0),
+        DurableStore::open(&dir, Durability::Fsync).expect("open store").with_group_commit(batch),
     );
     let us = timed_min(|| {
         std::thread::scope(|s| {

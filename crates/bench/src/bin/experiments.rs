@@ -1,4 +1,4 @@
-//! CLI entry point regenerating the experiment tables of DESIGN.md §4.
+//! CLI entry point regenerating the experiment tables (E1–E10) of `sst-bench`.
 //!
 //! ```sh
 //! cargo run -p sst-bench --release --bin experiments              # all, full size

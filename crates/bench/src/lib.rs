@@ -1,10 +1,10 @@
 //! # sst-bench — the experiment harness
 //!
-//! One function per experiment of DESIGN.md §4 (E1–E8). Each returns the
-//! table it prints, so integration tests can assert on the measured shapes
-//! and EXPERIMENTS.md can quote exact numbers. Runtime-oriented
-//! measurements live in the criterion benches (`benches/`); the functions
-//! here measure *solution quality*, which criterion cannot.
+//! One function per experiment (E1–E10). Each returns the table it
+//! prints, so integration tests can assert on the measured shapes.
+//! Runtime-oriented measurements live in the criterion benches
+//! (`benches/`); the functions here measure *solution quality*, which
+//! criterion cannot.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -782,7 +782,7 @@ pub fn ratio_str(r: Ratio) -> String {
 }
 
 /// Serializes finished tables as a JSON array (id, title, claim, header,
-/// rows) for archival next to EXPERIMENTS.md. Hand-rolled writer — the
+/// rows) for archival. Hand-rolled writer — the
 /// cells are already strings, so no serde derive is needed.
 pub fn tables_to_json(tables: &[Table]) -> String {
     fn esc(s: &str) -> String {

@@ -1,5 +1,5 @@
 //! The experiment harness is itself under test: the cheap experiments run
-//! in quick mode and their *shapes* — the properties EXPERIMENTS.md claims —
+//! in quick mode and their *shapes* — the properties each table's claim states —
 //! are asserted, so a regression in any algorithm breaks the harness test
 //! before it breaks a published table.
 

@@ -1,4 +1,4 @@
-//! Deterministic interleaving models of the four riskiest serve-path
+//! Deterministic interleaving models of the five riskiest serve-path
 //! protocols, explored with `sst_check::sched` (loom-style). Each model is
 //! a few virtual threads with explicit yield points; the exhaustive runs
 //! enumerate *every* schedule, so a passing test is a proof over the model,
@@ -396,17 +396,24 @@ fn close_without_notify_hangs_the_drainer() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 5: group-commit journal handoff (durable.rs append_grouped /
-// committer_loop). Appenders enqueue a record, wake the committer and wait
-// until their seq is durable; the committer drains a batch, writes it
-// outside the state lock, then publishes durable_seq and notifies. Two
-// properties, each pinned by a deliberately broken variant:
+// Model 5: group-commit journal handoff (durable.rs DurableStore::append /
+// committer_loop), the one path every journal append takes. Appenders
+// enqueue a record, wake the committer and wait until their seq is
+// resolved; the committer drains a batch, writes it outside the state
+// lock, then publishes durable_seq (or failed_seq when the write failed)
+// and notifies. Three properties, each pinned by a deliberately broken
+// variant:
 //   (1) write-ahead — no appender releases its response before its own
 //       record is durable (a single `if`-wait instead of the `while` loop
 //       releases on a foreign batch's wakeup);
 //   (2) shutdown drains — the committer must commit the in-flight batch
 //       before exiting (returning on `shutdown` with records still
-//       pending strands every waiter).
+//       pending strands every waiter);
+//   (3) a failed commit resolves its appenders — each one either releases
+//       with its record durable or returns an error with failed_seq
+//       covering it, and never acknowledges a record of the failed batch
+//       (an appender that waits on durable_seq alone waits forever once
+//       the failed batch held the last record).
 // The last appender to enqueue raises `shutdown` *before* waiting, so the
 // flag always races the in-flight batch — the exact graceful-shutdown
 // scenario the serve path must survive.
@@ -415,19 +422,40 @@ fn close_without_notify_hangs_the_drainer() {
 struct CommitSt {
     assigned: u64,
     durable: u64,
+    failed: u64,
+    /// Ground truth kept by the model only: the seqs of failed batches.
+    lost: Vec<u64>,
     pending: Vec<u64>,
     shutdown: bool,
 }
 
+/// The protocol as written, or one of its broken variants.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// Batch cap 1, every write succeeds.
+    Correct,
+    /// Broken: a single `if`-wait on `durable`.
+    SingleWait,
+    /// Broken: the committer returns on `shutdown` with records pending.
+    ExitWithoutDrain,
+    /// The committer takes every pending record per batch and its first
+    /// batch write fails.
+    FirstBatchFails,
+    /// Broken: as `FirstBatchFails`, but appenders wait on `durable` only.
+    FirstBatchFailsDurableWait,
+}
+
 fn group_commit_model(
     strategy: Strategy,
-    single_wait: bool,
-    drain_on_shutdown: bool,
+    variant: Commit,
 ) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
+    let fails = matches!(variant, Commit::FirstBatchFails | Commit::FirstBatchFailsDurableWait);
     explore(strategy, move |run| {
         let st = Arc::new(VMutex::new(CommitSt {
             assigned: 0,
             durable: 0,
+            failed: 0,
+            lost: Vec::new(),
             pending: Vec::new(),
             shutdown: false,
         }));
@@ -446,47 +474,82 @@ fn group_commit_model(
                     g.shutdown = true;
                 }
                 work.notify_all();
-                if single_wait {
-                    // Broken: a wakeup for someone else's batch releases us.
-                    if g.durable < seq {
-                        done.wait(&mut g);
+                match variant {
+                    Commit::SingleWait => {
+                        // Broken: a wakeup for someone else's batch releases us.
+                        if g.durable < seq {
+                            done.wait(&mut g);
+                        }
                     }
-                } else {
-                    while g.durable < seq {
-                        done.wait(&mut g);
+                    Commit::FirstBatchFailsDurableWait => {
+                        // Broken: a failed batch never advances `durable`.
+                        while g.durable < seq {
+                            done.wait(&mut g);
+                        }
                     }
+                    _ => {
+                        while g.durable.max(g.failed) < seq {
+                            done.wait(&mut g);
+                        }
+                    }
+                }
+                if g.failed >= seq {
+                    // Refused: the appender returns an error and no
+                    // response is released.
+                    return;
                 }
                 // The write-ahead contract, checked at response release.
                 assert!(g.durable >= seq, "response released before its record is durable");
+                assert!(!g.lost.contains(&seq), "a record of a failed batch was acknowledged");
             });
         }
         {
             let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
-            run.spawn("committer", move || loop {
-                let batch = {
+            run.spawn("committer", move || {
+                let mut first_batch = true;
+                loop {
+                    let batch = {
+                        let mut g = st.lock();
+                        loop {
+                            if variant == Commit::ExitWithoutDrain && g.shutdown {
+                                // Broken: exit on shutdown with records pending.
+                                return;
+                            }
+                            if !g.pending.is_empty() {
+                                break;
+                            }
+                            if g.shutdown {
+                                assert_eq!(
+                                    g.durable.max(g.failed),
+                                    g.assigned,
+                                    "shutdown resolved every record"
+                                );
+                                return;
+                            }
+                            work.wait(&mut g);
+                        }
+                        if fails {
+                            // A failed batch may hold the last record, so
+                            // nothing after it advances `durable`.
+                            std::mem::take(&mut g.pending)
+                        } else {
+                            // Batch cap 1: each record commits alone, so one
+                            // appender's wakeup can precede the other's commit.
+                            vec![g.pending.remove(0)]
+                        }
+                    };
+                    yield_now(); // the coalesced write + fsync, outside the lock
                     let mut g = st.lock();
-                    loop {
-                        if !drain_on_shutdown && g.shutdown {
-                            // Broken: exit on shutdown with records pending.
-                            return;
-                        }
-                        if !g.pending.is_empty() {
-                            break;
-                        }
-                        if g.shutdown {
-                            assert_eq!(g.durable, g.assigned, "shutdown drained every record");
-                            return;
-                        }
-                        work.wait(&mut g);
+                    let last = *batch.last().unwrap();
+                    if fails && first_batch {
+                        g.failed = last;
+                        g.lost.extend(&batch);
+                    } else {
+                        g.durable = last;
                     }
-                    // Batch cap 1: each record commits alone, so one
-                    // appender's wakeup can precede the other's commit.
-                    vec![g.pending.remove(0)]
-                };
-                yield_now(); // the coalesced write + fsync, outside the lock
-                let mut g = st.lock();
-                g.durable = *batch.last().unwrap();
-                done.notify_all();
+                    first_batch = false;
+                    done.notify_all();
+                }
             });
         }
     })
@@ -494,21 +557,23 @@ fn group_commit_model(
 
 #[test]
 fn group_commit_releases_only_durable_responses() {
-    let stats = group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, false, true)
-        .expect("write-ahead + drain-on-shutdown hold in every schedule");
+    let stats =
+        group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, Commit::Correct)
+            .expect("write-ahead + drain-on-shutdown hold in every schedule");
     assert!(stats.complete, "exhaustive space must be fully enumerated");
 }
 
 #[test]
 fn group_commit_random_walks_for_ci() {
-    group_commit_model(Strategy::Random { seed: 0x5357, walks: 200 }, false, true)
+    group_commit_model(Strategy::Random { seed: 0x5357, walks: 200 }, Commit::Correct)
         .expect("seeded walks agree with the exhaustive pass");
 }
 
 #[test]
 fn single_wait_release_breaks_the_durable_contract() {
-    let failure = group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, true, true)
-        .expect_err("some schedule wakes an appender on a foreign batch");
+    let failure =
+        group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, Commit::SingleWait)
+            .expect_err("some schedule wakes an appender on a foreign batch");
     assert!(
         matches!(failure.kind, FailureKind::Panic { .. } | FailureKind::Deadlock { .. }),
         "early release trips the release-time assert (or strands a waiter): {failure}"
@@ -517,13 +582,41 @@ fn single_wait_release_breaks_the_durable_contract() {
 
 #[test]
 fn committer_exit_without_drain_strands_appenders() {
-    let failure =
-        group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, false, false)
-            .expect_err("exiting with a non-empty batch must deadlock some schedule");
+    let failure = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        Commit::ExitWithoutDrain,
+    )
+    .expect_err("exiting with a non-empty batch must deadlock some schedule");
     match &failure.kind {
         FailureKind::Deadlock { blocked } => assert!(
             blocked.iter().any(|t| t.starts_with("appender")),
             "an appender waits forever on its lost record: {failure}"
+        ),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+}
+
+#[test]
+fn failed_commit_refuses_or_acknowledges_every_appender() {
+    let stats = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        Commit::FirstBatchFails,
+    )
+    .expect("every appender resolves and shutdown drains after a failed batch");
+    assert!(stats.complete, "exhaustive space must be fully enumerated");
+}
+
+#[test]
+fn waiting_only_on_durable_hangs_after_a_failed_commit() {
+    let failure = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        Commit::FirstBatchFailsDurableWait,
+    )
+    .expect_err("a failed batch holding the last record must strand its appenders");
+    match &failure.kind {
+        FailureKind::Deadlock { blocked } => assert!(
+            blocked.iter().any(|t| t.starts_with("appender")),
+            "an appender waits forever on a record that failed: {failure}"
         ),
         other => panic!("expected a deadlock, got {other:?}"),
     }

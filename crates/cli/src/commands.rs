@@ -160,7 +160,7 @@ USAGE
             [--seed S] [--mode stealing|sharded] [--max-queue N]
             [--max-sessions N] [--fault-injection true]
             [--data-dir DIR] [--durability none|flush|fsync]
-            [--session-lanes N] [--journal-batch N] [--group-commit-us US]
+            [--session-lanes N] [--journal-batch N]
             [--trace-out FILE|stderr] [--metrics-interval MS]
       solver-portfolio service speaking NDJSON: one request object per
       line ({\"id\": .., \"instance\": {..}, \"budget_ms\": ..}), one
@@ -189,9 +189,8 @@ USAGE
       session store is sharded per lane, one lock per shard; journal
       appends from concurrent lanes coalesce into group commits — one
       write and one flush/fsync per batch of up to --journal-batch
-      records (default 64; 1 = synchronous appends), with an optional
-      --group-commit-us linger window to let a batch fill. Responses
-      still wait for their own record to be durable.
+      records (default 64; 1 = one write and one flush/fsync per
+      record). Responses still wait for their own record to be durable.
       Requests flow through a work-stealing worker pool (adaptive top-k:
       a scored win-rate × recency ranking demotes members whose score
       decays); --mode sharded keeps the round-robin baseline. Beyond
@@ -252,7 +251,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         "durability",
         "session-lanes",
         "journal-batch",
-        "group-commit-us",
         "trace-out",
         "metrics-interval",
     ])?;
@@ -299,7 +297,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         durability,
         session_lanes: args.flag_parse("session-lanes", 4usize)?.max(1),
         journal_batch: args.flag_parse("journal-batch", 64usize)?.max(1),
-        group_commit_us: args.flag_parse("group-commit-us", 0u64)?,
         trace,
         metrics_interval_ms: args.flag_parse("metrics-interval", 0u64)?,
     };
@@ -1597,6 +1594,8 @@ mod tests {
         assert!(err.is_err(), "--fault-injection takes true|false");
         let err = run(&parse(&toks(&["serve", "--typo", "1"])).unwrap());
         assert!(err.is_err(), "unknown flags stay rejected");
+        let err = run(&parse(&toks(&["serve", "--group-commit-us", "200"])).unwrap());
+        assert!(err.is_err(), "the removed linger flag must be rejected");
         let err = run(&parse(&toks(&["serve", "--durability", "flush"])).unwrap());
         assert!(err.is_err(), "--durability without --data-dir must be rejected");
         let err =

@@ -248,10 +248,6 @@ fn stdin_eof_shutdown_flushes_the_commit_batch_under_fsync() {
             dir.to_str().expect("utf-8 temp path"),
             "--durability",
             "fsync",
-            "--journal-batch",
-            "64",
-            "--group-commit-us",
-            "2000",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())

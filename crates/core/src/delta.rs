@@ -283,7 +283,6 @@ pub fn apply_unrelated_all(
     UnrelatedInstance::from_flat(m, job_class, ptimes, setups).map_err(DeltaError::Invalid)
 }
 
-#[cfg(feature = "serde")]
 mod codec {
     //! JSON codec for deltas — the wire format of the session protocol's
     //! `delta` verb and the `dynamic-queue` trace files of `sst-gen`:
@@ -425,7 +424,6 @@ mod codec {
     }
 }
 
-#[cfg(feature = "serde")]
 pub use codec::{delta_from_value, delta_to_json, deltas_from_value, deltas_to_json};
 
 #[cfg(test)]
@@ -534,7 +532,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn delta_json_roundtrip() {
         use crate::io::json;

@@ -1,4 +1,4 @@
-//! JSON import/export of instances and schedules (feature `serde`).
+//! JSON import/export of instances and schedules.
 //!
 //! Deserialization re-validates through the normal constructors, so a
 //! hand-edited or corrupted file can never produce an invalid in-memory

@@ -1,7 +1,7 @@
 //! Descriptive statistics of instances: the quantities that predict which
 //! algorithm (and which guarantee) is the right tool.
 //!
-//! The experiments of EXPERIMENTS.md show behaviour switching on a few
+//! The experiments of `sst-bench` show behaviour switching on a few
 //! structural measures — setup weight relative to job work (E8/E10), class
 //! population skew, machine heterogeneity (E7), eligibility density (E5).
 //! This module computes them once, uniformly, for both machine models;

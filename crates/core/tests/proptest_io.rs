@@ -2,8 +2,6 @@
 //! survive serialize→parse round trips bit-exactly, and parsing always
 //! re-validates (no malformed instance can be smuggled in through disk).
 
-#![cfg(feature = "serde")]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};

@@ -40,23 +40,23 @@
 //! kill-and-replay gate), `fsync` additionally syncs the file (survives
 //! power loss).
 //!
-//! **Group commit** ([`DurableStore::with_group_commit`], on by default):
-//! appending lanes do not write the file themselves — they encode their
-//! record, enqueue it on a bounded batch buffer with the next sequence
-//! number, and park until a dedicated *committer* thread has made it
-//! durable. The committer drains up to `--journal-batch` records at a
-//! time, appends them as **one** coalesced write, pays one flush/fsync
-//! for the whole batch, then wakes every waiting lane. The write-ahead
-//! contract is unchanged — an appender returns (and the service responds)
-//! only after its record is on storage at the configured durability — but
-//! the flush/fsync cost is amortized across every lane that joined the
-//! batch, which is what makes contended `fsync` traffic scale. Batches
-//! form naturally (records pile up while the committer is inside a
-//! flush); `--group-commit-us` optionally lets the committer linger for
-//! stragglers when a batch is not yet full. The on-disk format and the
-//! sequence numbering are byte-identical to the synchronous path
-//! (`--journal-batch 1`), so recovery is oblivious to batching — a
-//! property pinned by the differential proptests in `proptest_journal.rs`.
+//! **Group commit** ([`DurableStore::with_group_commit`]): appending
+//! lanes do not write the file themselves — they encode their record,
+//! enqueue it on the batch buffer with the next sequence number, and
+//! park until a dedicated *committer* thread has made it durable. This is
+//! the only append path. The committer drains up to `--journal-batch`
+//! records at a time, appends them as **one** coalesced write, pays one
+//! flush/fsync for the whole batch, then wakes every waiting lane. The
+//! write-ahead contract holds for every append — an appender returns (and
+//! the service responds) only after its record is on storage at the
+//! configured durability — and the flush/fsync cost is amortized across
+//! every lane that joined the batch, which is what makes contended `fsync`
+//! traffic scale. Batches form naturally: records pile up while the
+//! committer is inside a flush. `--journal-batch 1` commits each record
+//! alone (one write and one flush/fsync per record) through the same
+//! code. The on-disk format and the sequence numbering do not depend on
+//! the batch size, so recovery is oblivious to batching — a property
+//! pinned by the differential proptests in `proptest_journal.rs`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -64,7 +64,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 use sst_core::delta::{delta_to_json, deltas_from_value, InstanceDelta};
@@ -204,16 +204,15 @@ fn record_payload(seq: u64, rec: &RecordRef<'_>) -> String {
     out
 }
 
+fn encode_line(seq: u64, rec: &RecordRef<'_>) -> String {
+    let payload = record_payload(seq, rec);
+    format!("{:016x} {payload}", fnv1a64(payload.as_bytes()))
+}
+
 /// Encodes one journal line (no trailing newline):
 /// `<16-hex checksum> <json>`.
 pub fn encode_journal_line(seq: u64, rec: &JournalRecord) -> String {
-    let view = match rec {
-        JournalRecord::Create { sid, instance } => RecordRef::Create { sid: *sid, instance },
-        JournalRecord::Delta { sid, deltas } => RecordRef::Delta { sid: *sid, deltas },
-        JournalRecord::Close { sid } => RecordRef::Close { sid: *sid },
-    };
-    let payload = record_payload(seq, &view);
-    format!("{:016x} {payload}", fnv1a64(payload.as_bytes()))
+    encode_line(seq, &rec.as_ref())
 }
 
 fn uint_of(map: &BTreeMap<String, JsonValue>, k: &str) -> Result<u64, String> {
@@ -499,21 +498,18 @@ pub struct DurabilityCounters {
     pub recovered: u64,
 }
 
-struct JournalWriter {
-    file: std::io::BufWriter<File>,
-    seq: u64,
-}
-
 /// An encoded record parked on the group-commit batch buffer.
 struct PendingRecord {
     seq: u64,
+    /// The journal line, newline included.
     line: String,
 }
 
-/// Sequence bookkeeping of the group-commit handoff. `durable_seq` and
-/// `failed_seq` partition assigned sequence numbers: an appender's record
-/// is acknowledged once `durable_seq` covers it and refused once
-/// `failed_seq` does (a failed batch write never advances `durable_seq`).
+/// Sequence bookkeeping of the group-commit handoff, and the only journal
+/// sequence counter. `durable_seq` and `failed_seq` are the high-water
+/// marks of the committed and the failed batches: an appender's records
+/// are resolved once either covers them, and refused when `failed_seq`
+/// reaches into them.
 struct CommitState {
     /// Last sequence number handed to an enqueued record.
     assigned_seq: u64,
@@ -540,9 +536,9 @@ struct CommitShared {
     /// Committer → appenders: `durable_seq`/`failed_seq` advanced.
     done: Condvar,
     /// The journal file itself. Held by the committer for the coalesced
-    /// batch write; by `flush_journal`/`truncate_journal` at quiescent
-    /// points; and by the synchronous path when batching is off.
-    writer: Mutex<JournalWriter>,
+    /// batch write, and by `flush_journal`/`truncate_journal` at
+    /// quiescent points.
+    writer: Mutex<std::io::BufWriter<File>>,
 }
 
 /// The on-disk half of the session tier: one append-only journal plus a
@@ -552,19 +548,13 @@ pub struct DurableStore {
     journal_path: PathBuf,
     durability: Durability,
     snapshot_every: u64,
-    /// Records per coalesced commit batch; `<= 1` keeps the synchronous
-    /// per-record append path (no committer thread).
+    /// Records per coalesced commit batch (at least 1).
     journal_batch: usize,
-    /// Extra time the committer may wait for stragglers on a non-full
-    /// batch; 0 = natural batching only.
-    group_commit_us: u64,
     commit: Arc<CommitShared>,
-    /// The committer thread, spawned lazily on the first batched append
-    /// (after `set_telemetry` and the builders have run) and joined by
-    /// `Drop` once the batch buffer is drained.
-    committer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Fast-path flag mirroring `committer.is_some()`.
-    committer_up: std::sync::atomic::AtomicBool,
+    /// The committer thread, spawned on the first append (after
+    /// `set_telemetry` and the builders have run) and joined by `Drop`
+    /// once the batch buffer is drained.
+    committer: OnceLock<std::thread::JoinHandle<()>>,
     journal_appends: AtomicU64,
     journal_bytes: AtomicU64,
     snapshots: AtomicU64,
@@ -590,7 +580,6 @@ impl DurableStore {
             durability,
             snapshot_every: 32,
             journal_batch: 64,
-            group_commit_us: 0,
             commit: Arc::new(CommitShared {
                 state: Mutex::named(
                     "durable.commit",
@@ -605,13 +594,9 @@ impl DurableStore {
                 ),
                 work: Condvar::new(),
                 done: Condvar::new(),
-                writer: Mutex::named(
-                    "durable.journal",
-                    JournalWriter { file: std::io::BufWriter::new(file), seq: 0 },
-                ),
+                writer: Mutex::named("durable.journal", std::io::BufWriter::new(file)),
             }),
-            committer: Mutex::named("durable.committer", None),
-            committer_up: std::sync::atomic::AtomicBool::new(false),
+            committer: OnceLock::new(),
             journal_appends: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
@@ -621,24 +606,14 @@ impl DurableStore {
         })
     }
 
-    /// Configures the group-commit journal writer (builder-style; call
-    /// before the first append): lanes enqueue records into batches of at
-    /// most `batch` and a committer thread pays one flush/fsync per
-    /// batch. `batch <= 1` disables batching — every append writes and
-    /// syncs its own record synchronously (the pre-group-commit path,
-    /// kept as the bench baseline). `window_us > 0` lets the committer
-    /// wait that long for stragglers when a batch is not yet full;
-    /// 0 (the default) commits whatever piled up while the previous
-    /// batch was being written.
-    pub fn with_group_commit(mut self, batch: usize, window_us: u64) -> DurableStore {
+    /// Sets the group-commit batch bound (builder-style; call before the
+    /// first append): the committer writes at most `batch` records per
+    /// coalesced write and pays one flush/fsync per batch. `batch = 1`
+    /// commits every record alone — one write and one flush/fsync each,
+    /// the bench baseline — through the same committer.
+    pub fn with_group_commit(mut self, batch: usize) -> DurableStore {
         self.journal_batch = batch.max(1);
-        self.group_commit_us = window_us;
         self
-    }
-
-    /// The configured records-per-batch bound (1 = synchronous appends).
-    pub fn journal_batch(&self) -> usize {
-        self.journal_batch
     }
 
     /// Sets the periodic-snapshot threshold (journaled verbs per session
@@ -670,144 +645,58 @@ impl DurableStore {
         self.sessions_dir.join(format!("{sid}.snap"))
     }
 
-    fn append(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        if self.journal_batch <= 1 {
-            return self.append_direct(rec);
-        }
-        self.append_grouped(rec)
-    }
-
-    /// The synchronous path (`--journal-batch 1`): encode, write, flush
-    /// and sync one record under the writer lock.
-    fn append_direct(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        let sid = rec.sid();
-        let t0 = std::time::Instant::now();
-        let mut j = self.commit.writer.lock();
-        let seq = j.seq + 1;
-        let payload = record_payload(seq, &rec);
-        let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
-        j.file.write_all(line.as_bytes())?;
-        // Time the push-to-storage portion separately from encode+write:
-        // under `fsync` it dominates, and the gap between the two
-        // histograms is exactly the price of the durability level.
-        let sync_t0 = std::time::Instant::now();
-        match self.durability {
-            Durability::None => {}
-            Durability::Flush => j.file.flush()?,
-            Durability::Fsync => {
-                j.file.flush()?;
-                j.file.get_ref().sync_data()?;
-            }
-        }
-        // The sequence number advances only once the record is written:
-        // a failed append is not acknowledged and must not leave a gap.
-        j.seq = seq;
-        drop(j);
-        let fsync = self.durability == Durability::Fsync;
-        let sync_us = sync_t0.elapsed().as_micros() as u64;
-        let micros = t0.elapsed().as_micros() as u64;
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
-        self.telemetry.record(stage::JOURNAL_APPEND_US, micros);
-        if fsync {
-            self.telemetry.record(stage::JOURNAL_FSYNC_US, sync_us);
-        }
-        self.telemetry.emit(TraceEvent::JournalAppend {
-            sid,
-            bytes: line.len() as u64,
-            micros,
-            fsync,
-        });
-        Ok(seq)
-    }
-
-    /// The group-commit path: encode + enqueue under the state lock, wake
-    /// the committer, park until `durable_seq` (or `failed_seq`) covers
-    /// our record. Returns — i.e. the verb gets acknowledged — only once
-    /// the record is on storage at the configured durability.
-    fn append_grouped(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        let sid = rec.sid();
-        let t0 = std::time::Instant::now();
-        self.ensure_committer();
-        let (seq, bytes, wait_us) = {
-            let mut st = self.commit.state.lock();
-            let seq = st.assigned_seq + 1;
-            st.assigned_seq = seq;
-            // Encoding under the state lock keeps `pending` in sequence
-            // order — the invariant that lets the committer write any
-            // prefix of the buffer as one contiguous byte range.
-            let payload = record_payload(seq, &rec);
-            let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
-            let bytes = line.len() as u64;
-            st.pending.push(PendingRecord { seq, line });
-            self.commit.work.notify_one();
-            let wait_t0 = std::time::Instant::now();
-            while st.durable_seq < seq {
-                if st.failed_seq >= seq {
-                    return Err(std::io::Error::other(st.failure.clone()));
-                }
-                self.commit.done.wait(&mut st);
-            }
-            (seq, bytes, wait_t0.elapsed().as_micros() as u64)
-        };
-        let fsync = self.durability == Durability::Fsync;
-        let micros = t0.elapsed().as_micros() as u64;
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.telemetry.record(stage::JOURNAL_APPEND_US, micros);
-        self.telemetry.record(stage::COMMIT_WAIT_US, wait_us);
-        self.telemetry.emit(TraceEvent::JournalAppend { sid, bytes, micros, fsync });
-        Ok(seq)
-    }
-
-    /// Appends several records as one enqueue operation: they receive
-    /// consecutive sequence numbers with no interleaved foreign record,
-    /// and the call returns once the whole run is durable. With batching
-    /// off this degrades to sequential synchronous appends — the journal
-    /// bytes are identical either way. Returns the last sequence number
-    /// (0 when `recs` is empty).
-    pub fn append_coalesced(&self, recs: &[JournalRecord]) -> std::io::Result<u64> {
-        let mut last = 0u64;
-        if self.journal_batch <= 1 {
-            for rec in recs {
-                last = self.append_direct(rec.as_ref())?;
-            }
-            return Ok(last);
-        }
+    /// The one append path: encode `recs` under the state lock with
+    /// consecutive sequence numbers (no foreign record in between), hand
+    /// them to the committer, and park until they are resolved. Returns —
+    /// i.e. the verb gets acknowledged — only once every record is on
+    /// storage at the configured durability. Returns the last sequence
+    /// number (0 when `recs` is empty).
+    fn append(&self, recs: &[RecordRef<'_>]) -> std::io::Result<u64> {
         if recs.is_empty() {
             return Ok(0);
         }
         let t0 = std::time::Instant::now();
-        self.ensure_committer();
-        let mut total_bytes = 0u64;
-        let (wait_us, sids_bytes) = {
+        self.committer.get_or_init(|| {
+            let shared = Arc::clone(&self.commit);
+            let (durability, batch_cap) = (self.durability, self.journal_batch);
+            let telemetry = self.telemetry.clone();
+            std::thread::spawn(move || committer_loop(&shared, durability, batch_cap, &telemetry))
+        });
+        let mut sids_bytes = Vec::with_capacity(recs.len());
+        let (last, wait_us) = {
             let mut st = self.commit.state.lock();
-            let mut sids_bytes = Vec::with_capacity(recs.len());
+            let first = st.assigned_seq + 1;
             for rec in recs {
-                let rec = rec.as_ref();
                 let seq = st.assigned_seq + 1;
                 st.assigned_seq = seq;
-                let payload = record_payload(seq, &rec);
-                let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
-                total_bytes += line.len() as u64;
+                // Encoding under the state lock keeps `pending` in sequence
+                // order — the invariant that lets the committer write any
+                // prefix of the buffer as one contiguous byte range.
+                let mut line = encode_line(seq, rec);
+                line.push('\n');
                 sids_bytes.push((rec.sid(), line.len() as u64));
                 st.pending.push(PendingRecord { seq, line });
-                last = seq;
             }
+            let last = st.assigned_seq;
             self.commit.work.notify_one();
             let wait_t0 = std::time::Instant::now();
-            while st.durable_seq < last {
-                if st.failed_seq >= last {
-                    return Err(std::io::Error::other(st.failure.clone()));
-                }
+            while st.durable_seq.max(st.failed_seq) < last {
                 self.commit.done.wait(&mut st);
             }
-            (wait_t0.elapsed().as_micros() as u64, sids_bytes)
+            // Batches resolve in sequence order, so a failed batch that
+            // holds any of our records has pushed `failed_seq` to `first`
+            // or past it. A failure of a later batch can refuse records
+            // that did reach storage; a refused record was never
+            // acknowledged, so that errs on the safe side.
+            if st.failed_seq >= first {
+                return Err(std::io::Error::other(st.failure.clone()));
+            }
+            (last, wait_t0.elapsed().as_micros() as u64)
         };
         let fsync = self.durability == Durability::Fsync;
         let micros = t0.elapsed().as_micros() as u64;
         self.journal_appends.fetch_add(sids_bytes.len() as u64, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(total_bytes, Ordering::Relaxed);
+        self.journal_bytes.fetch_add(sids_bytes.iter().map(|(_, b)| b).sum(), Ordering::Relaxed);
         self.telemetry.record(stage::JOURNAL_APPEND_US, micros);
         self.telemetry.record(stage::COMMIT_WAIT_US, wait_us);
         for (sid, bytes) in sids_bytes {
@@ -816,39 +705,20 @@ impl DurableStore {
         Ok(last)
     }
 
-    /// Spawns the committer thread on first use. Lazy so the builders and
-    /// `set_telemetry` have run by the time its configuration is cloned.
-    fn ensure_committer(&self) {
-        // ordering: Acquire pairs with the Release store below so a thread
-        // seeing `true` also sees the spawned committer's side effects;
-        // the slow path re-checks under the `durable.committer` lock.
-        if self.committer_up.load(Ordering::Acquire) {
-            return;
-        }
-        let mut slot = self.committer.lock();
-        if slot.is_none() {
-            let shared = Arc::clone(&self.commit);
-            let durability = self.durability;
-            let batch_cap = self.journal_batch;
-            let window = std::time::Duration::from_micros(self.group_commit_us);
-            let telemetry = self.telemetry.clone();
-            *slot = Some(std::thread::spawn(move || {
-                committer_loop(&shared, durability, batch_cap, window, &telemetry)
-            }));
-            // ordering: Release publishes the spawn to Acquire loads above.
-            self.committer_up.store(true, Ordering::Release);
-        }
+    /// Appends several records as one enqueue operation: they receive
+    /// consecutive sequence numbers with no interleaved foreign record,
+    /// and the call returns once the whole run is durable. The journal
+    /// bytes equal those of one append per record. Returns the last
+    /// sequence number (0 when `recs` is empty).
+    pub fn append_coalesced(&self, recs: &[JournalRecord]) -> std::io::Result<u64> {
+        let refs: Vec<RecordRef<'_>> = recs.iter().map(JournalRecord::as_ref).collect();
+        self.append(&refs)
     }
 
     /// Blocks until every enqueued record is resolved (durable or
     /// failed). The flush/truncate/recover quiescent points call this so
     /// the writer lock they take next covers a fully-drained journal.
     fn drain_commits(&self) {
-        // ordering: Acquire pairs with the Release in `ensure_committer`;
-        // no committer means nothing was ever enqueued.
-        if self.journal_batch <= 1 || !self.committer_up.load(Ordering::Acquire) {
-            return;
-        }
         let mut st = self.commit.state.lock();
         while st.durable_seq.max(st.failed_seq) < st.assigned_seq {
             self.commit.work.notify_one();
@@ -862,18 +732,18 @@ impl DurableStore {
         sid: u64,
         instance: &crate::solver::ProblemInstance,
     ) -> std::io::Result<u64> {
-        self.append(RecordRef::Create { sid, instance })
+        self.append(&[RecordRef::Create { sid, instance }])
     }
 
     /// Journals an accepted `delta` batch (call only after the repair
     /// succeeded: a rejected batch is not part of the session's history).
     pub fn append_delta(&self, sid: u64, deltas: &[InstanceDelta]) -> std::io::Result<u64> {
-        self.append(RecordRef::Delta { sid, deltas })
+        self.append(&[RecordRef::Delta { sid, deltas }])
     }
 
     /// Journals an accepted `close`.
     pub fn append_close(&self, sid: u64) -> std::io::Result<u64> {
-        self.append(RecordRef::Close { sid })
+        self.append(&[RecordRef::Close { sid }])
     }
 
     /// Writes session `sid`'s snapshot atomically (temp file + rename).
@@ -921,10 +791,10 @@ impl DurableStore {
     /// final snapshots and the trace `sink_close` are written.
     pub fn flush_journal(&self) -> std::io::Result<()> {
         self.drain_commits();
-        let mut j = self.commit.writer.lock();
-        j.file.flush()?;
+        let mut file = self.commit.writer.lock();
+        file.flush()?;
         if self.durability == Durability::Fsync {
-            j.file.get_ref().sync_data()?;
+            file.get_ref().sync_data()?;
         }
         Ok(())
     }
@@ -937,11 +807,11 @@ impl DurableStore {
     /// stay comparable.
     pub fn truncate_journal(&self) -> std::io::Result<()> {
         self.drain_commits();
-        let mut j = self.commit.writer.lock();
-        j.file.flush()?;
+        let mut writer = self.commit.writer.lock();
+        writer.flush()?;
         OpenOptions::new().write(true).truncate(true).open(&self.journal_path)?;
         let file = OpenOptions::new().append(true).open(&self.journal_path)?;
-        j.file = std::io::BufWriter::new(file);
+        *writer = std::io::BufWriter::new(file);
         Ok(())
     }
 
@@ -1066,17 +936,12 @@ impl DurableStore {
         }
         self.truncate_journal()?;
         {
-            // Never lower the counter: snapshots can carry seqs older than
-            // records already appended this run.
-            let mut writer = self.commit.writer.lock();
-            writer.seq = writer.seq.max(max_seq);
-            let resumed = writer.seq;
-            drop(writer);
-            // Keep the group-commit numbering in step with the writer's:
-            // the next enqueued record continues past everything seen.
+            // The next record continues past everything seen. Never lower
+            // the counter: snapshots can carry seqs older than records
+            // already appended this run.
             let mut st = self.commit.state.lock();
-            st.assigned_seq = st.assigned_seq.max(resumed);
-            st.durable_seq = st.durable_seq.max(resumed);
+            st.assigned_seq = st.assigned_seq.max(max_seq);
+            st.durable_seq = st.durable_seq.max(max_seq);
         }
         self.recovered.store(live.len() as u64, Ordering::Relaxed);
         Ok(Recovery {
@@ -1095,8 +960,7 @@ impl Drop for DurableStore {
     /// committer drains the batch buffer before exiting, so a gracefully
     /// dropped store never leaves an enqueued record unwritten.
     fn drop(&mut self) {
-        let handle = self.committer.lock().take();
-        if let Some(handle) = handle {
+        if let Some(handle) = self.committer.take() {
             {
                 let mut st = self.commit.state.lock();
                 st.shutdown = true;
@@ -1116,7 +980,6 @@ fn committer_loop(
     shared: &CommitShared,
     durability: Durability,
     batch_cap: usize,
-    window: std::time::Duration,
     telemetry: &Telemetry,
 ) {
     loop {
@@ -1127,11 +990,6 @@ fn committer_loop(
                     return;
                 }
                 shared.work.wait(&mut st);
-            }
-            if !window.is_zero() && st.pending.len() < batch_cap && !st.shutdown {
-                // One bounded linger for stragglers; a spurious or early
-                // wakeup just commits a smaller batch.
-                shared.work.wait_timeout(&mut st, window);
             }
             let take = st.pending.len().min(batch_cap);
             st.pending.drain(..take).collect()
@@ -1145,27 +1003,24 @@ fn committer_loop(
         }
         let mut sync_us = 0u64;
         let result: std::io::Result<()> = {
-            let mut writer = shared.writer.lock();
-            let wrote = (|| {
-                writer.file.write_all(buf.as_bytes())?;
+            let mut file = shared.writer.lock();
+            (|| {
+                file.write_all(buf.as_bytes())?;
+                // Time the push-to-storage portion separately: under
+                // `fsync` it dominates, and the gap to the append latency
+                // is the price of the durability level.
                 let sync_t0 = std::time::Instant::now();
                 match durability {
                     Durability::None => {}
-                    Durability::Flush => writer.file.flush()?,
+                    Durability::Flush => file.flush()?,
                     Durability::Fsync => {
-                        writer.file.flush()?;
-                        writer.file.get_ref().sync_data()?;
+                        file.flush()?;
+                        file.get_ref().sync_data()?;
                     }
                 }
                 sync_us = sync_t0.elapsed().as_micros() as u64;
                 Ok(())
-            })();
-            if wrote.is_ok() {
-                // As in the synchronous path: the writer's counter only
-                // advances past records actually on storage.
-                writer.seq = last_seq;
-            }
-            wrote
+            })()
         };
         let micros = t0.elapsed().as_micros() as u64;
         let fsync = durability == Durability::Fsync;

@@ -1,4 +1,4 @@
-//! Per-model behavior behind [`ProblemInstance`](crate::solver::ProblemInstance):
+//! Per-model behavior behind [`ProblemInstance`]:
 //! the [`ModelOps`] trait.
 //!
 //! The portfolio crate used to thread `match` statements over the instance

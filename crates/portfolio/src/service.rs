@@ -7,8 +7,9 @@
 //! block the requests queued behind it while other workers sit idle (the
 //! PR 2 per-shard round-robin failure mode — still available as
 //! [`PoolMode::Sharded`] for benchmarking). Each worker parses, races the
-//! portfolio ([`crate::race`]), and writes the response line to the
-//! request's origin (stdout, or the originating TCP connection).
+//! portfolio ([`crate::race`](mod@crate::race)), and writes the response
+//! line to the request's origin (stdout, or the originating TCP
+//! connection).
 //!
 //! **No request is ever silently dropped.** When the backlog hits
 //! [`ServeConfig::max_queue`] or every worker has died, [`Service::dispatch`]
@@ -121,11 +122,9 @@ pub struct ServeConfig {
     pub session_lanes: usize,
     /// Group-commit batch bound (`--journal-batch`): journal records from
     /// all lanes coalesce into batches of at most this many records, one
-    /// flush/fsync per batch. `1` restores synchronous per-record appends.
+    /// flush/fsync per batch. `1` commits every record alone, through the
+    /// same committer.
     pub journal_batch: usize,
-    /// Group-commit linger (`--group-commit-us`): extra time the committer
-    /// waits for stragglers on a non-full batch. `0` = natural batching.
-    pub group_commit_us: u64,
     /// Structured trace-event sink (`--trace-out`): every request's span
     /// chain (enqueue → dequeue → race → respond), incumbent improvements,
     /// and durability events stream to it as NDJSON. `None` disables
@@ -152,7 +151,6 @@ impl Default for ServeConfig {
             durability: Durability::default(),
             session_lanes: 4,
             journal_batch: 64,
-            group_commit_us: 0,
             trace: None,
             metrics_interval_ms: 0,
         }
@@ -774,8 +772,8 @@ impl Service {
         let tracker = Arc::new(WinRateTracker::new());
         let sessions = match &cfg.data_dir {
             Some(root) => {
-                let mut store = DurableStore::open(root, cfg.durability)?
-                    .with_group_commit(cfg.journal_batch, cfg.group_commit_us);
+                let mut store =
+                    DurableStore::open(root, cfg.durability)?.with_group_commit(cfg.journal_batch);
                 store.set_telemetry(telemetry.clone());
                 let store = Arc::new(store);
                 let mut sessions = SessionStore::durable(cfg.max_sessions, Arc::clone(&store))

@@ -164,16 +164,17 @@ proptest! {
 
     /// The group-commit contract: batching changes *when* bytes reach the
     /// file, never *which* bytes. The same verb sequence through a
-    /// synchronous store (batch 1) and a grouped store (batch 4, so real
-    /// multi-record batches form) must leave byte-identical journals and
-    /// recover to identical state.
+    /// one-record-per-batch store (batch 1) and a grouped store (batch 4,
+    /// so real multi-record batches form) must leave byte-identical
+    /// journals, equal to the codec's own line encoding of the records,
+    /// and recover to identical state.
     #[test]
     fn grouped_journal_is_byte_identical_to_synchronous_appends(
         records in vec(any_record(), 1..7),
     ) {
         let (d1, d2) = (scratch("single"), scratch("grouped"));
-        let single = DurableStore::open(&d1, Durability::Flush).unwrap().with_group_commit(1, 0);
-        let grouped = DurableStore::open(&d2, Durability::Flush).unwrap().with_group_commit(4, 0);
+        let single = DurableStore::open(&d1, Durability::Flush).unwrap().with_group_commit(1);
+        let grouped = DurableStore::open(&d2, Durability::Flush).unwrap().with_group_commit(4);
         for rec in &records {
             let s1 = append_record(&single, rec).unwrap();
             let s2 = append_record(&grouped, rec).unwrap();
@@ -183,6 +184,13 @@ proptest! {
         grouped.flush_journal().unwrap();
         let j1 = std::fs::read(d1.join("journal.log")).unwrap();
         let j2 = std::fs::read(d2.join("journal.log")).unwrap();
+        let reference: String = records
+            .iter()
+            .enumerate()
+            .map(|(i, rec)| encode_journal_line(i as u64 + 1, rec) + "\n")
+            .collect();
+        prop_assert_eq!(&j1, reference.as_bytes(), "batch-1 journal must equal the line encoding");
+        prop_assert_eq!(&j2, reference.as_bytes(), "batch-4 journal must equal the line encoding");
         prop_assert_eq!(j1, j2, "on-disk journal must be bit-identical");
         prop_assert_eq!(recovered_state(&single), recovered_state(&grouped));
         drop(single);
@@ -201,8 +209,8 @@ proptest! {
         sizes in vec(1usize..4, 1..8),
     ) {
         let (d1, d2) = (scratch("perverb"), scratch("chunks"));
-        let per_verb = DurableStore::open(&d1, Durability::Flush).unwrap().with_group_commit(64, 0);
-        let chunked = DurableStore::open(&d2, Durability::Flush).unwrap().with_group_commit(64, 0);
+        let per_verb = DurableStore::open(&d1, Durability::Flush).unwrap().with_group_commit(64);
+        let chunked = DurableStore::open(&d2, Durability::Flush).unwrap().with_group_commit(64);
         for rec in &records {
             append_record(&per_verb, rec).unwrap();
         }
@@ -234,7 +242,7 @@ proptest! {
         cut in 1usize..200,
     ) {
         let dir = scratch("torn");
-        let store = DurableStore::open(&dir, Durability::Flush).unwrap().with_group_commit(64, 0);
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap().with_group_commit(64);
         // One append_coalesced call → one batch → one write_all on disk.
         store.append_coalesced(&records).unwrap();
         store.flush_journal().unwrap();

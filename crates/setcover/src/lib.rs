@@ -9,8 +9,8 @@
 //! * [`solvers`] — the greedy `H_N`-approximation and an exact
 //!   branch-and-bound used to certify cover numbers;
 //! * [`gap`] — the deterministic GF(2) family with *known* integral (`k`)
-//!   and fractional (`< 2`) optima, substituting for NP-hard gap instances
-//!   (see DESIGN.md §2);
+//!   and fractional (`< 2`) optima, substituting for NP-hard gap
+//!   instances;
 //! * [`lp`] — the set cover LP, certified by `sst-lp`, with randomized
 //!   `O(log N)` and deterministic frequency roundings (the Vazirani
 //!   machinery Cor. 3.4 leans on);
